@@ -26,7 +26,6 @@ from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import posteriors_batch
 from repro.phmm.pwm import pwm_from_codes
 from repro.phmm.reference_impl import backward_naive, forward_naive
-from repro.phmm.wavefront import F32_LOGLIK_TOL, wavefront_forward_backward
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
@@ -160,22 +159,20 @@ def test_banded_vs_full_pipeline(scaling_workload):
     )
 
 
-def test_batched_wavefront_throughput(phmm_batch):
-    """Batched wavefront kernels vs the per-pair baseline (DESIGN.md §12).
+def test_batched_rowsweep_throughput(phmm_batch):
+    """Batched row-sweep kernels vs the per-pair baseline.
 
     Not a pytest-benchmark target (single timed runs): the payload is the
     ``dp_cells_per_second`` ledger merged into ``BENCH_kernels.json`` for
-    the CI perf gate.  Four contenders over the same (B, N, M) batch, each
+    the CI perf gate.  Two contenders over the same (B, N, M) batch, each
     running forward *and* backward:
 
-    * ``per_pair_naive`` — the per-pair/per-cell loops the wavefront
-      refactor replaced (``reference_impl``), looped over the batch;
-    * ``rowsweep_batched`` — the lfilter row-sweep kernels;
-    * ``wavefront_float64`` — anti-diagonal sweep, bitwise equal to naive;
-    * ``wavefront_float32`` — the fast path with escalation checks on.
+    * ``per_pair_naive`` — the per-pair/per-cell loops of
+      ``reference_impl``, looped over the batch;
+    * ``rowsweep_batched`` — the lfilter row-sweep kernels.
 
-    The batched float64 wavefront must clear 10x the per-pair baseline
-    with bitwise-identical logliks.
+    The batched kernels must clear 10x the per-pair baseline with logliks
+    equal to the naive ones to ``rtol=1e-9``.
     """
     params, _, _, pstar = phmm_batch
     dp_cells = 2 * B * N * M  # forward + backward
@@ -203,29 +200,17 @@ def test_batched_wavefront_throughput(phmm_batch):
         backward_batch(pstar, params)
         return fwd.loglik
 
-    def wavefront(dtype):
-        fwd, _, escalated = wavefront_forward_backward(
-            pstar, params, dtype=dtype
-        )
-        return fwd.loglik, escalated
-
     rows_loglik, t_rows = best_of(rowsweep)
-    (wf64_loglik, _), t_wf64 = best_of(lambda: wavefront("float64"))
-    (wf32_loglik, escalated), t_wf32 = best_of(lambda: wavefront("float32"))
 
-    identical = bool(np.array_equal(wf64_loglik, naive_loglik))
-    speedup64 = t_naive / t_wf64
-    assert identical, "batched wavefront changed float64 logliks"
-    assert speedup64 >= 10.0, f"wavefront speedup {speedup64:.1f}x < 10x"
-    np.testing.assert_allclose(rows_loglik, wf64_loglik, rtol=1e-9)
-    np.testing.assert_allclose(wf32_loglik, wf64_loglik, rtol=2 * F32_LOGLIK_TOL)
+    speedup = t_naive / t_rows
+    np.testing.assert_allclose(rows_loglik, naive_loglik, rtol=1e-9)
+    assert speedup >= 10.0, f"rowsweep speedup {speedup:.1f}x < 10x"
 
-    def lane(wall, **extra):
+    def lane(wall):
         return {
             "wall_seconds": wall,
             "dp_cells_per_second": dp_cells / wall,
             "speedup_vs_per_pair": t_naive / wall,
-            **extra,
         }
 
     _merge_ledger(
@@ -239,24 +224,15 @@ def test_batched_wavefront_throughput(phmm_batch):
                 },
                 "per_pair_naive": lane(t_naive),
                 "rowsweep_batched": lane(t_rows),
-                "wavefront_float64": lane(t_wf64),
-                "wavefront_float32": lane(
-                    t_wf32, escalations=int(escalated.sum())
-                ),
-                "calls_identical": identical,
             }
         }
     )
     record(
-        "Batched wavefront kernels",
+        "Batched rowsweep kernels",
         f"{B} pairs x ({N} x {M}), {dp_cells:,} DP cells/pass-pair | "
         f"per-pair naive: {dp_cells / t_naive:,.0f} cells/s | "
-        f"rowsweep: {dp_cells / t_rows:,.0f} cells/s | "
-        f"wavefront f64: {dp_cells / t_wf64:,.0f} cells/s "
-        f"({t_naive / t_wf64:.0f}x per-pair) | "
-        f"wavefront f32: {dp_cells / t_wf32:,.0f} cells/s "
-        f"({int(escalated.sum())} escalations) | "
-        f"f64 logliks identical to naive: {identical}",
+        f"rowsweep: {dp_cells / t_rows:,.0f} cells/s "
+        f"({speedup:.0f}x per-pair) | logliks match naive to rtol 1e-9",
     )
 
 

@@ -29,17 +29,14 @@ ingest), then call once::
     engine.map_reads(batch_b)        # same accumulator keeps filling
     result = engine.call()
 
-Worker count is engine state (constructor ``workers=`` or
-``config.parallel.workers``); the historical per-call
-``map_reads(reads, workers=N)`` kwarg still works for one release behind a
-:class:`DeprecationWarning`.
+Worker count is engine state: constructor ``workers=``, the ``workers``
+property, or ``config.parallel.workers``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.calling.records import SNPCall, write_snp_calls
 from repro.errors import PipelineError
@@ -54,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.livestream import TelemetryAggregator
     from repro.observability.promexport import PrometheusEndpoint
     from repro.parallel.pool import PersistentPool
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: deprecated per-call ``workers=`` only warns when actually used.
-_UNSET: Any = object()
 
 __all__ = ["CallResult", "Engine", "MappingStats"]
 
@@ -266,21 +259,6 @@ class Engine:
             self._pool = None
             self._pool_flags = None
 
-    def _resolve_workers(self, workers: Any) -> int:
-        """Engine worker count, honouring the deprecated per-call kwarg."""
-        if workers is _UNSET or workers is None:
-            return self._workers
-        warnings.warn(
-            "the per-call workers= kwarg is deprecated; set workers on the "
-            "Engine (constructor kwarg, .workers property, or "
-            "config.parallel.workers) so calls share the persistent pool",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers < 1:
-            raise PipelineError(f"workers must be >= 1, got {workers}")
-        return int(workers)
-
     def _pool_for(self, n_workers: int) -> "PersistentPool | None":
         """The warm pool for ``n_workers``, (re)building it as needed.
 
@@ -306,7 +284,7 @@ class Engine:
         return self._pool
 
     # -- staged verbs -----------------------------------------------------------
-    def map_reads(self, reads: "list[Read]", workers: Any = _UNSET) -> MappingStats:
+    def map_reads(self, reads: "list[Read]") -> MappingStats:
         """Align ``reads`` and fold their evidence into the engine's
         accumulator; returns the cumulative mapping stats.
 
@@ -317,11 +295,8 @@ class Engine:
         retried, then degraded to a serial re-run — see
         :mod:`repro.pipeline.mp_backend`); the merged partial folds into
         the staged accumulator exactly as the serial path would.
-
-        The per-call ``workers=`` kwarg is deprecated (worker count is
-        engine state); passing it still works but warns.
         """
-        n_workers = self._resolve_workers(workers)
+        n_workers = self._workers
         if self._accumulator is None:
             self._accumulator = self._pipeline.new_accumulator()
         if n_workers > 1:
@@ -360,7 +335,6 @@ class Engine:
     def run(
         self,
         reads: "list[Read]",
-        workers: Any = _UNSET,
         trace: "str | None" = None,
     ) -> CallResult:
         """Full pipeline over ``reads`` with a fresh accumulator.
@@ -368,14 +342,14 @@ class Engine:
         With engine ``workers > 1`` the mapping runs over the persistent
         pool's warm fleet (identical output to serial; the reduction is
         order-deterministic).  Does not touch the engine's staged
-        accumulator.  The per-call ``workers=`` kwarg is deprecated.
+        accumulator.
 
         ``trace`` enables flight-recorder tracing for this call and writes
         the resulting timeline to that path as Chrome trace-event JSON
         (openable in ``chrome://tracing`` or https://ui.perfetto.dev), with
         a run manifest embedded under ``otherData``.
         """
-        n_workers = self._resolve_workers(workers)
+        n_workers = self._workers
 
         def execute() -> PipelineResult:
             if n_workers == 1:

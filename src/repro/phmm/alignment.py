@@ -26,24 +26,6 @@ from repro.phmm.forward_backward import (
 )
 from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import PosteriorResult, posteriors_batch, z_vectors
-from repro.phmm.wavefront import DTYPES, wavefront_forward_backward
-
-#: Kernel families the alignment layer can dispatch to: the anti-diagonal
-#: wavefront kernels (default — bitwise against the naive oracle in float64,
-#: optional float32 fast path) or the legacy row-sweep kernels.
-KERNELS = ("wavefront", "rowsweep")
-
-
-def _check_kernel(kernel: str, dtype: str) -> None:
-    if kernel not in KERNELS:
-        raise AlignmentError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if dtype not in DTYPES:
-        raise AlignmentError(f"dtype must be one of {DTYPES}, got {dtype!r}")
-    if kernel == "rowsweep" and dtype != "float64":
-        raise AlignmentError(
-            "the rowsweep kernels are float64-only; "
-            "use kernel='wavefront' for the float32 fast path"
-        )
 
 
 @dataclass
@@ -102,8 +84,6 @@ def align_batch(
     mode: str = "semiglobal",
     edge_policy: str = "mass",
     valid: np.ndarray | None = None,
-    kernel: str = "rowsweep",
-    dtype: str = "float64",
 ) -> AlignmentOutcome:
     """Align a batch of equal-shape (PWM, window) pairs.
 
@@ -116,14 +96,7 @@ def align_batch(
     valid:
         Optional ``(B, M)`` bool mask; z mass on False columns is zeroed
         (used for genome-edge pad columns).
-    kernel:
-        ``"rowsweep"`` (default) or ``"wavefront"`` — see :data:`KERNELS`.
-    dtype:
-        ``"float64"`` (default) or ``"float32"`` (wavefront only): run the
-        DP in single precision with automatic per-pair escalation back to
-        float64 (see :mod:`repro.phmm.wavefront`).
     """
-    _check_kernel(kernel, dtype)
     pwms = np.asarray(pwms, dtype=np.float64)
     windows = np.asarray(windows)
     # Per-pair DP work distribution (full kernels fill every N*M cell).
@@ -135,11 +108,8 @@ def align_batch(
     pstar = emissions_batch(pwms, windows, params)
     if sanitize.enabled():
         sanitize.check_emissions(pstar)
-    if kernel == "wavefront":
-        fwd, bwd, _ = wavefront_forward_backward(pstar, params, mode=mode, dtype=dtype)
-    else:
-        fwd = forward_batch(pstar, params, mode=mode)
-        bwd = backward_batch(pstar, params, mode=mode)
+    fwd = forward_batch(pstar, params, mode=mode)
+    bwd = backward_batch(pstar, params, mode=mode)
     post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
     z = z_vectors(post, edge_policy=edge_policy)
     if valid is not None:
@@ -150,13 +120,7 @@ def align_batch(
             )
         z = z * valid[:, :, None]
     if sanitize.enabled():
-        sanitize.check_z(
-            z,
-            valid,
-            tol=sanitize.SUM_TOLERANCE
-            if dtype == "float64"
-            else sanitize.F32_SUM_TOLERANCE,
-        )
+        sanitize.check_z(z, valid)
     return AlignmentOutcome(
         z=z, loglik=fwd.loglik, occupancy=post.occupancy, posterior=post
     )
@@ -175,8 +139,6 @@ def align_batch_banded(
     valid: np.ndarray | None = None,
     groups: np.ndarray | None = None,
     escape_min_ratio: float = 0.0,
-    kernel: str = "rowsweep",
-    dtype: str = "float64",
 ) -> AlignmentOutcome:
     """Banded alignment of a batch, with an optional full-kernel escape hatch.
 
@@ -197,12 +159,7 @@ def align_batch_banded(
     zero mapping weight regardless are not worth a full re-fill.  Groups whose
     *best* banded likelihood is ``-inf`` escape wholesale: the band saw
     nothing, so the full kernels arbitrate.
-
-    ``kernel``/``dtype`` select the DP kernel family exactly as in
-    :func:`align_batch`; escaped pairs re-run full through the *same*
-    kernel, so banded-vs-full comparisons stay within one kernel family.
     """
-    _check_kernel(kernel, dtype)
     pwms = np.asarray(pwms, dtype=np.float64)
     windows = np.asarray(windows)
     centers = np.asarray(centers, dtype=np.int64)
@@ -252,7 +209,7 @@ def align_batch_banded(
         if band.n_cells() == 0:
             # The band slid entirely off the matrix for every DP row: no
             # in-band path exists, so running the kernels would sweep
-            # zero-width diagonals for nothing.  The bucket's pairs are
+            # empty rows for nothing.  The bucket's pairs are
             # dead under the band (-inf, zero mass); with the escape hatch
             # armed they go to the full kernels, which alone can say
             # whether the pairs are genuinely unalignable.
@@ -273,13 +230,8 @@ def align_batch_banded(
         metrics().observe(
             "phmm.pair_cells", float(band.n_cells()), count=int(sel.size)
         )
-        if kernel == "wavefront":
-            fwd, bwd, _ = wavefront_forward_backward(
-                pstar, params, mode=mode, band=band, dtype=dtype
-            )
-        else:
-            fwd = forward_banded(pstar, params, band, mode=mode)
-            bwd = backward_banded(pstar, params, band, mode=mode)
+        fwd = forward_banded(pstar, params, band, mode=mode)
+        bwd = backward_banded(pstar, params, band, mode=mode)
         post = posteriors_batch(pstar, sub_pwms, sub_windows, fwd, bwd, params)
         if adaptive:
             edge = band_edge_mass(post.match_posterior, band)
@@ -318,8 +270,6 @@ def align_batch_banded(
             mode=mode,
             edge_policy=edge_policy,
             valid=None,
-            kernel=kernel,
-            dtype=dtype,
         )
         z[esc] = full.z
         loglik[esc] = full.loglik
@@ -337,13 +287,7 @@ def align_batch_banded(
             )
         z = z * valid[:, :, None]
     if sanitize.enabled():
-        sanitize.check_z(
-            z,
-            valid,
-            tol=sanitize.SUM_TOLERANCE
-            if dtype == "float64"
-            else sanitize.F32_SUM_TOLERANCE,
-        )
+        sanitize.check_z(z, valid)
     posterior = PosteriorResult(
         base_mass=base_mass,
         gap_mass=gap_mass,

@@ -97,19 +97,6 @@ class BandSpec:
         hi = min(self.m, i + self.center + self.width)
         return lo, hi
 
-    def diag_bounds(self, d: int) -> tuple[int, int]:
-        """Inclusive in-band DP-row range ``(ilo, ihi)`` for anti-diagonal
-        ``i + j = d``.
-
-        Derived from the band inequality ``|d - 2i - center| <= width``
-        intersected with the matrix (``0 <= i <= n``, ``0 <= d - i <= m``).
-        ``ilo > ihi`` means the diagonal has no in-band cells — the wavefront
-        kernels skip it, exactly as the row sweep skips empty rows.
-        """
-        ilo = max(0, d - self.m, -((self.center + self.width - d) // 2))
-        ihi = min(self.n, d, (d - self.center + self.width) // 2)
-        return ilo, ihi
-
     def covers_matrix(self) -> bool:
         """True when every row's band spans all columns ``0..m`` (banded
         arithmetic is then bit-identical to the full kernels)."""

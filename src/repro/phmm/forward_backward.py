@@ -92,11 +92,6 @@ class ForwardResult:
     ``fM/fGX/fGY`` are ``(B, N+1, M+1)`` *scaled* values: the true forward
     probability is ``fM[b, i, j] * exp(log_scale[b, i])``.  ``loglik`` is the
     per-pair total alignment log-likelihood under the chosen mode.
-
-    ``row_exp`` is set by the wavefront kernels only: integer ``(B, N+1)``
-    power-of-two row exponents with ``log_scale == row_exp * ln 2``, letting
-    tests undo the scaling *exactly* via ``np.ldexp``.  The row-sweep
-    kernels' max-based scales are not powers of two, so they leave it None.
     """
 
     fM: np.ndarray
@@ -105,22 +100,17 @@ class ForwardResult:
     log_scale: np.ndarray
     loglik: np.ndarray
     mode: str
-    row_exp: np.ndarray | None = None
 
 
 @dataclass
 class BackwardResult:
-    """Scaled backward matrices; true value ``bM[b,i,j] * exp(log_scale[b,i])``.
-
-    ``row_exp`` as in :class:`ForwardResult`: wavefront kernels only.
-    """
+    """Scaled backward matrices; true value ``bM[b,i,j] * exp(log_scale[b,i])``."""
 
     bM: np.ndarray
     bGX: np.ndarray
     bGY: np.ndarray
     log_scale: np.ndarray
     mode: str
-    row_exp: np.ndarray | None = None
 
 
 def _check_mode(mode: str) -> None:

@@ -5,18 +5,12 @@ described declaratively.  Sub-configurations (seeder, caller, parallel
 execution) reuse their own dataclasses.
 
 Parallel-execution knobs live in :class:`ParallelConfig` under
-``PipelineConfig.parallel``.  The historical flat ``mp_*`` spellings
-(``mp_chunk_timeout=...`` kwargs and ``config.mp_chunk_timeout`` reads) are
-accepted for one release behind :class:`DeprecationWarning` shims; the
-migration table lives in DESIGN.md §14.
+``PipelineConfig.parallel``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from dataclasses import InitVar, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.calling.caller import CallerConfig
 from repro.errors import ConfigError
@@ -26,19 +20,6 @@ from repro.phmm.model import PHMMParams
 
 #: Start methods the multiprocessing backend may be pinned to.
 MP_START_METHODS = ("spawn", "fork", "forkserver")
-
-#: ParallelConfig fields reachable through the deprecated flat ``mp_<name>``
-#: spellings (both constructor kwargs and attribute reads).
-_PARALLEL_FIELD_NAMES = frozenset(
-    {
-        "start_method",
-        "chunk_timeout",
-        "max_retries",
-        "backoff_base",
-        "chunks_per_worker",
-        "fault_spec",
-    }
-)
 
 
 @dataclass
@@ -186,15 +167,6 @@ class TelemetryConfig:
             )
 
 
-def _warn_deprecated_mp(old: str, new: str) -> None:
-    warnings.warn(
-        f"PipelineConfig.{old} is deprecated; use "
-        f"PipelineConfig.parallel.{new} (ParallelConfig) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class PipelineConfig:
     """Everything the GNUMAP-SNP driver needs besides the data.
@@ -248,24 +220,10 @@ class PipelineConfig:
         Escape threshold for ``band_mode="adaptive"``: the fraction of a
         read's posterior match mass allowed on band-created edge cells
         before the pair is re-run full-width.
-    phmm_kernel:
-        DP kernel family: ``"rowsweep"`` (default — the lfilter row-sweep
-        kernels, fastest on CPU) or ``"wavefront"`` (batched anti-diagonal
-        sweeps, bitwise against the naive oracle in float64 and the only
-        kernel with a float32 fast path).  Both produce identical SNP
-        calls; see :mod:`repro.phmm.wavefront` and DESIGN.md §12 for the
-        trade-off.
-    phmm_dtype:
-        Kernel precision: ``"float64"`` (default) or ``"float32"`` — the
-        wavefront fast path with automatic per-pair escalation back to
-        float64 on underflow/overflow/inconsistency (counted under
-        ``phmm.f32_escalations``).  Only valid with
-        ``phmm_kernel="wavefront"``.
     parallel:
         Parallel-execution sub-config (:class:`ParallelConfig`): fleet
         shape, per-chunk fault tolerance, persistent-pool and
-        shared-memory modes.  The flat ``mp_*`` kwargs/attributes are
-        deprecated shims over these fields.
+        shared-memory modes.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
         worker metric streaming, stall watchdog and the Prometheus
@@ -284,46 +242,14 @@ class PipelineConfig:
     band_mode: str = "off"
     band_w: int = 10
     band_tolerance: float = 1e-4
-    phmm_kernel: str = "rowsweep"
-    phmm_dtype: str = "float64"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     max_index_positions_per_kmer: int | None = 64
     phmm: PHMMParams = field(default_factory=PHMMParams)
     seeder: SeederConfig = field(default_factory=SeederConfig)
     caller: CallerConfig = field(default_factory=CallerConfig)
-    # Deprecated flat spellings (one release of grace): accepted as kwargs,
-    # folded into ``parallel`` with a DeprecationWarning, never stored.
-    mp_start_method: InitVar["str | None"] = None
-    mp_chunk_timeout: InitVar["float | None"] = None
-    mp_max_retries: InitVar["int | None"] = None
-    mp_backoff_base: InitVar["float | None"] = None
-    mp_chunks_per_worker: InitVar["int | None"] = None
-    mp_fault_spec: InitVar["str | None"] = None
 
-    def __post_init__(
-        self,
-        mp_start_method: "str | None",
-        mp_chunk_timeout: "float | None",
-        mp_max_retries: "int | None",
-        mp_backoff_base: "float | None",
-        mp_chunks_per_worker: "int | None",
-        mp_fault_spec: "str | None",
-    ) -> None:
-        legacy: "dict[str, Any]" = {
-            "start_method": mp_start_method,
-            "chunk_timeout": mp_chunk_timeout,
-            "max_retries": mp_max_retries,
-            "backoff_base": mp_backoff_base,
-            "chunks_per_worker": mp_chunks_per_worker,
-            "fault_spec": mp_fault_spec,
-        }
-        used = {name: value for name, value in legacy.items() if value is not None}
-        for name in used:
-            _warn_deprecated_mp(f"mp_{name}", name)
-        if used:
-            # replace() re-runs ParallelConfig validation on the merged values.
-            self.parallel = dataclasses.replace(self.parallel, **used)
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.pad < 0:
@@ -353,46 +279,12 @@ class PipelineConfig:
             raise ConfigError(
                 f"band_tolerance must be in [0, 1), got {self.band_tolerance}"
             )
-        if self.phmm_kernel not in ("wavefront", "rowsweep"):
-            raise ConfigError(
-                f"phmm_kernel must be 'wavefront' or 'rowsweep', "
-                f"got {self.phmm_kernel!r}"
-            )
-        if self.phmm_dtype not in ("float64", "float32"):
-            raise ConfigError(
-                f"phmm_dtype must be 'float64' or 'float32', "
-                f"got {self.phmm_dtype!r}"
-            )
-        if self.phmm_kernel == "rowsweep" and self.phmm_dtype != "float64":
-            raise ConfigError(
-                "phmm_dtype='float32' requires phmm_kernel='wavefront' "
-                "(the rowsweep kernels are float64-only)"
-            )
         if self.seeder.seed_len is not None and self.seeder.seed_len <= self.k:
             raise ConfigError(
                 f"seeder.seed_len={self.seeder.seed_len} must exceed k={self.k}: "
                 "the long-seed table is only worth building wider than the "
                 "base index (drop --seed-len to seed at k)"
             )
-        if self.phmm_dtype == "float32" and self.alignment_mode == "global":
-            raise ConfigError(
-                "phmm_dtype='float32' requires alignment_mode='semiglobal': "
-                "global alignments accumulate the full O(M+N) gap-run "
-                "penalty in one path score, which overflows the float32 "
-                "escalation contract's validated range (DESIGN §12 "
-                "calibrates the fast path on semi-global paths only)"
-            )
-
-    def __getattr__(self, name: str) -> Any:
-        # Deprecated flat reads (config.mp_chunk_timeout, ...) forward to the
-        # nested ParallelConfig.  Only fires for attributes that don't exist,
-        # so regular fields and the InitVar kwargs are unaffected.
-        if name.startswith("mp_") and name[3:] in _PARALLEL_FIELD_NAMES:
-            _warn_deprecated_mp(name, name[3:])
-            return getattr(self.parallel, name[3:])
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     @property
     def banding(self) -> bool:
@@ -411,10 +303,3 @@ class PipelineConfig:
         width = read_len + 2 * self.pad
         return min(1.0, (2 * self.band_w + 1) / width)
 
-
-# The InitVar defaults linger as class attributes after dataclass processing
-# and would shadow __getattr__, making deprecated reads silently return None.
-# The generated __init__ already captured the defaults, so drop them.
-for _legacy_name in _PARALLEL_FIELD_NAMES:
-    delattr(PipelineConfig, f"mp_{_legacy_name}")
-del _legacy_name

@@ -279,8 +279,6 @@ class GnumapSnp:
                         valid=valid,
                         groups=groups,
                         escape_min_ratio=cfg.min_ratio,
-                        kernel=cfg.phmm_kernel,
-                        dtype=cfg.phmm_dtype,
                     )
                 else:
                     outcome = align_batch(
@@ -290,8 +288,6 @@ class GnumapSnp:
                         mode=cfg.alignment_mode,
                         edge_policy=cfg.edge_policy,
                         valid=valid,
-                        kernel=cfg.phmm_kernel,
-                        dtype=cfg.phmm_dtype,
                     )
                 z = outcome.z
                 weights = group_normalize(

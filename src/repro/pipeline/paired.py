@@ -126,7 +126,6 @@ class PairedGnumap:
         outcome = align_batch(
             np.stack(pwms), windows, cfg.phmm,
             mode=cfg.alignment_mode, edge_policy=cfg.edge_policy, valid=valid,
-            kernel=cfg.phmm_kernel, dtype=cfg.phmm_dtype,
         )
         cols = (start_arr - cfg.pad)[:, None] + np.arange(width)[None, :]
         return _MateCandidates(

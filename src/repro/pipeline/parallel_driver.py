@@ -383,8 +383,6 @@ def _process_read_batch(
                 valid=valid,
                 groups=np.asarray(groups, dtype=np.int64),
                 escape_min_ratio=config.min_ratio,
-                kernel=config.phmm_kernel,
-                dtype=config.phmm_dtype,
             )
         else:
             outcome = align_batch(
@@ -394,8 +392,6 @@ def _process_read_batch(
                 mode=config.alignment_mode,
                 edge_policy=config.edge_policy,
                 valid=valid,
-                kernel=config.phmm_kernel,
-                dtype=config.phmm_dtype,
             )
     else:
         outcome = None

@@ -1,8 +1,10 @@
 """Banded-kernel tests: geometry, exactness, convergence, escape hatch.
 
-The band is a pure restriction of the DP lattice, so every guarantee is
-relative to the full kernels: bitwise equality when the band covers the
-matrix, monotone convergence of the likelihood as the band widens, and the
+The band is a pure restriction of the DP lattice, so the guarantees are
+relative to the full kernels and to the naive oracle: bitwise equality
+with the full kernels when the band covers the matrix, agreement with the
+naive recursions restricted to the band's cells at any band geometry,
+monotone convergence of the likelihood as the band widens, and the
 adaptive escape hatch recovering full-kernel results where the band
 assumption breaks (large indels shifting the alignment off its seed
 diagonal).
@@ -33,6 +35,114 @@ from repro.phmm.pwm import pwm_from_codes
 
 PARAMS = PHMMParams()
 MODES = ("semiglobal", "global")
+
+
+@st.composite
+def banded_case(draw, b_max=4, n_max=6, m_max=7):
+    """A batch of B same-shape pairs, random gap params, and one band that
+    may be clipped by, or slide off, either side of the matrix."""
+    B = draw(st.integers(min_value=1, max_value=b_max))
+    N = draw(st.integers(min_value=1, max_value=n_max))
+    M = draw(st.integers(min_value=1, max_value=m_max))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    pwms = np.stack(
+        [
+            pwm_from_codes(
+                rng.integers(0, 4, N).astype(np.uint8),
+                rng.uniform(0.0, 0.74, N),
+            )
+            for _ in range(B)
+        ]
+    )
+    windows = rng.integers(0, 5, (B, M)).astype(np.uint8)
+    params = PHMMParams(
+        gap_open=draw(st.floats(min_value=0.005, max_value=0.2)),
+        gap_extend=draw(st.floats(min_value=0.05, max_value=0.9)),
+    )
+    band = BandSpec(
+        n=N,
+        m=M,
+        center=draw(st.integers(min_value=-N - 2, max_value=M + 2)),
+        width=draw(st.integers(min_value=1, max_value=6)),
+    )
+    return pwms, windows, params, band
+
+
+def forward_naive_banded(pstar, params, band, mode):
+    """:func:`forward_naive` with every out-of-band cell held at zero."""
+    N, M = pstar.shape
+    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
+    inside = ~band.outside_mask()
+    fM = np.zeros((N + 1, M + 1))
+    fGX = np.zeros((N + 1, M + 1))
+    fGY = np.zeros((N + 1, M + 1))
+    if mode == "semiglobal":
+        fM[0, :] = inside[0]
+    else:
+        fM[0, 0] = inside[0, 0]
+    for i in range(1, N + 1):
+        for j in range(M + 1):
+            if not inside[i, j]:
+                continue
+            if j >= 1:
+                fM[i, j] = pstar[i - 1, j - 1] * (
+                    TMM * fM[i - 1, j - 1]
+                    + TGM * (fGX[i - 1, j - 1] + fGY[i - 1, j - 1])
+                )
+                fGY[i, j] = q * (TMG * fM[i, j - 1] + TGG * fGY[i, j - 1])
+            fGX[i, j] = q * (TMG * fM[i - 1, j] + TGG * fGX[i - 1, j])
+    if mode == "semiglobal":
+        like = float(fM[N, :].sum() + fGX[N, :].sum())
+    else:
+        like = float(fM[N, M] + fGX[N, M] + fGY[N, M])
+    return fM, fGX, fGY, like
+
+
+def backward_naive_banded(pstar, params, band, mode):
+    """:func:`backward_naive` with every out-of-band cell held at zero."""
+    N, M = pstar.shape
+    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
+    inside = ~band.outside_mask()
+    bM = np.zeros((N + 1, M + 1))
+    bGX = np.zeros((N + 1, M + 1))
+    bGY = np.zeros((N + 1, M + 1))
+
+    def at(a, i, j):
+        return a[i, j] if j <= M else 0.0
+
+    def p(i, j):
+        return float(pstar[i, j]) if i < N and j < M else 0.0
+
+    if mode == "semiglobal":
+        bM[N, :] = inside[N]
+        bGX[N, :] = inside[N]
+    else:
+        for j in range(M, -1, -1):
+            if not inside[N, j]:
+                continue
+            if j == M:
+                bM[N, M] = bGX[N, M] = bGY[N, M] = 1.0
+            else:
+                bGY[N, j] = q * TGG * bGY[N, j + 1]
+                bM[N, j] = q * TMG * bGY[N, j + 1]
+    for i in range(N - 1, -1, -1):
+        for j in range(M, -1, -1):
+            if not inside[i, j]:
+                continue
+            bm_next = at(bM, i + 1, j + 1)
+            if i > 0:
+                bGY[i, j] = p(i, j) * TGM * bm_next + q * TGG * at(bGY, i, j + 1)
+            bM[i, j] = p(i, j) * TMM * bm_next + q * TMG * (
+                bGX[i + 1, j] + at(bGY, i, j + 1)
+            )
+            bGX[i, j] = p(i, j) * TGM * bm_next + q * TGG * bGX[i + 1, j]
+    return bM, bGX, bGY
+
+
+def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """Undo per-row scaling: true value is ``scaled[b,i,j] e^{ls[b,i]}``."""
+    return scaled * np.exp(log_scale)[:, :, None]
 
 
 def random_batch(rng, b=3, n=8, m=14):
@@ -123,6 +233,123 @@ class TestExactness:
         )
         assert np.array_equal(banded.loglik, full.loglik)
         assert np.array_equal(banded.z, full.z)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=banded_case(), mode=st.sampled_from(MODES))
+    def test_covering_band_bitwise_equals_full(self, case, mode):
+        pwms, windows, params, _ = case
+        N, M = pwms.shape[1], windows.shape[1]
+        pstar = emissions_batch(pwms, windows, params)
+        band = BandSpec(n=N, m=M, center=M // 2, width=N + M)
+        assert band.covers_matrix()
+        fb = forward_banded(pstar, params, band, mode=mode)
+        ff = forward_batch(pstar, params, mode=mode)
+        np.testing.assert_array_equal(fb.fM, ff.fM)
+        np.testing.assert_array_equal(fb.fGX, ff.fGX)
+        np.testing.assert_array_equal(fb.fGY, ff.fGY)
+        np.testing.assert_array_equal(fb.log_scale, ff.log_scale)
+        np.testing.assert_array_equal(fb.loglik, ff.loglik)
+        bb = backward_banded(pstar, params, band, mode=mode)
+        bf = backward_batch(pstar, params, mode=mode)
+        np.testing.assert_array_equal(bb.bM, bf.bM)
+        np.testing.assert_array_equal(bb.bGX, bf.bGX)
+        np.testing.assert_array_equal(bb.bGY, bf.bGY)
+        np.testing.assert_array_equal(bb.log_scale, bf.log_scale)
+
+
+class TestNaiveOracle:
+    """Banded kernels vs the naive recursions restricted to the band."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=banded_case(), mode=st.sampled_from(MODES))
+    def test_forward_matches_masked_naive(self, case, mode):
+        pwms, windows, params, band = case
+        pstar = emissions_batch(pwms, windows, params)
+        fwd = forward_banded(pstar, params, band, mode=mode)
+        fM = unscale(fwd.fM, fwd.log_scale)
+        fGX = unscale(fwd.fGX, fwd.log_scale)
+        fGY = unscale(fwd.fGY, fwd.log_scale)
+        for b in range(pwms.shape[0]):
+            nM, nGX, nGY, like = forward_naive_banded(pstar[b], params, band, mode)
+            np.testing.assert_allclose(fM[b], nM, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(fGX[b], nGX, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(fGY[b], nGY, rtol=1e-9, atol=1e-300)
+            if like > 0:
+                assert np.isclose(fwd.loglik[b], np.log(like), rtol=1e-9)
+            else:
+                assert fwd.loglik[b] == -np.inf
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=banded_case(), mode=st.sampled_from(MODES))
+    def test_backward_matches_masked_naive(self, case, mode):
+        pwms, windows, params, band = case
+        pstar = emissions_batch(pwms, windows, params)
+        bwd = backward_banded(pstar, params, band, mode=mode)
+        bM = unscale(bwd.bM, bwd.log_scale)
+        bGX = unscale(bwd.bGX, bwd.log_scale)
+        bGY = unscale(bwd.bGY, bwd.log_scale)
+        for b in range(pwms.shape[0]):
+            nM, nGX, nGY = backward_naive_banded(pstar[b], params, band, mode)
+            np.testing.assert_allclose(bM[b], nM, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(bGX[b], nGX, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(bGY[b], nGY, rtol=1e-9, atol=1e-300)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=banded_case(), mode=st.sampled_from(MODES))
+    def test_batch_composition_is_not_load_bearing(self, case, mode):
+        """Per-pair row scales make banded results bitwise batch-invariant."""
+        pwms, windows, params, band = case
+        pstar = emissions_batch(pwms, windows, params)
+        fwd = forward_banded(pstar, params, band, mode=mode)
+        bwd = backward_banded(pstar, params, band, mode=mode)
+        for b in range(pwms.shape[0]):
+            fs = forward_banded(pstar[b : b + 1], params, band, mode=mode)
+            bs = backward_banded(pstar[b : b + 1], params, band, mode=mode)
+            np.testing.assert_array_equal(fwd.fM[b], fs.fM[0])
+            np.testing.assert_array_equal(fwd.log_scale[b], fs.log_scale[0])
+            np.testing.assert_array_equal(fwd.loglik[b], fs.loglik[0])
+            np.testing.assert_array_equal(bwd.bM[b], bs.bM[0])
+            np.testing.assert_array_equal(bwd.log_scale[b], bs.log_scale[0])
+
+
+class TestDegenerateShapes:
+    def test_empty_batch(self):
+        pstar = np.zeros((0, 3, 5))
+        band = BandSpec(n=3, m=5, center=1, width=2)
+        fwd = forward_banded(pstar, PARAMS, band)
+        bwd = backward_banded(pstar, PARAMS, band)
+        assert fwd.fM.shape == fwd.fGX.shape == fwd.fGY.shape == (0, 4, 6)
+        assert fwd.log_scale.shape == (0, 4)
+        assert fwd.loglik.shape == (0,)
+        assert bwd.bM.shape == bwd.bGX.shape == bwd.bGY.shape == (0, 4, 6)
+
+    @pytest.mark.parametrize("bad", [(2, 0, 5), (2, 5, 0)])
+    def test_zero_length_read_or_window_rejected(self, bad):
+        _, n, m = bad
+        band = BandSpec(n=max(n, 1), m=max(m, 1), center=0, width=2)
+        with pytest.raises(AlignmentError):
+            forward_banded(np.zeros(bad), PARAMS, band)
+        with pytest.raises(AlignmentError):
+            backward_banded(np.zeros(bad), PARAMS, band)
+
+
+class TestCounters:
+    def test_banded_fill_counters(self):
+        """Banded passes charge only in-band cells, all to cells_banded."""
+        rng = np.random.default_rng(2)
+        pwms, windows = random_batch(rng, b=2, n=6, m=10)
+        B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
+        pstar = emissions_batch(pwms, windows, PARAMS)
+        band = BandSpec(n=N, m=M, center=2, width=2)
+        with scope() as reg:
+            forward_banded(pstar, PARAMS, band)
+            backward_banded(pstar, PARAMS, band)
+        counters = reg.snapshot().counters
+        assert counters["phmm.pairs"] == B
+        assert counters["phmm.forward_cells"] == B * band.n_cells()
+        assert counters["phmm.backward_cells"] == B * band.n_cells()
+        assert counters["phmm.cells_banded"] == 2 * B * band.n_cells()
+        assert "phmm.cells_full" not in counters
 
 
 class TestConvergence:
@@ -271,11 +498,11 @@ class TestSanitizer:
 class TestBatchedBuckets:
     """Batched-banded behaviour across mixed geometries and escapes.
 
-    The wavefront kernels' per-pair power-of-two scaling makes every pair's
-    result independent of its batch-mates bit for bit, so a batch mixing
-    several band centers — including pairs that escape to the full kernels —
-    must be byte-identical to running each pair through the serial per-pair
-    path alone.
+    The kernels scale every pair's DP rows by that pair's own maximum, so a
+    pair's result is independent of its batch-mates bit for bit: a batch
+    mixing several band centers — including pairs that escape to the full
+    kernels — must be byte-identical to running each pair through the
+    serial per-pair path alone.
     """
 
     def test_mixed_band_geometries_one_batch(self):
@@ -287,7 +514,6 @@ class TestBatchedBuckets:
         centers = np.array([0, 0, 5, 5, m - 2, m - 2], dtype=np.int64)
         batched = align_batch_banded(
             pwms, windows, PARAMS, centers, band_w=3, adaptive=False,
-            kernel="wavefront",
         )
         for b in range(6):
             solo = align_batch_banded(
@@ -297,7 +523,6 @@ class TestBatchedBuckets:
                 centers[b : b + 1],
                 band_w=3,
                 adaptive=False,
-                kernel="wavefront",
             )
             assert np.array_equal(batched.loglik[b], solo.loglik[0])
             assert np.array_equal(batched.z[b], solo.z[0])
@@ -317,7 +542,6 @@ class TestBatchedBuckets:
         with scope() as reg:
             align_batch_banded(
                 pwms, windows, PARAMS, centers, band_w=2, adaptive=False,
-                kernel="wavefront",
             )
         assert reg.snapshot().counters["phmm.cells_banded"] == expected
 
@@ -335,11 +559,10 @@ class TestBatchedBuckets:
         with scope() as reg:
             batched = align_batch_banded(
                 pwms, windows, PARAMS, centers, band_w=2, tolerance=1e-4,
-                kernel="wavefront",
             )
             n_escapes = reg.snapshot().counters.get("phmm.band_escapes", 0)
         assert n_escapes == 1
-        full = align_batch(esc_pwms, esc_windows, PARAMS, kernel="wavefront")
+        full = align_batch(esc_pwms, esc_windows, PARAMS)
         assert np.array_equal(batched.loglik[1], full.loglik[0])
         assert np.array_equal(batched.z[1], full.z[0])
         for b in range(3):
@@ -350,29 +573,24 @@ class TestBatchedBuckets:
                 centers[b : b + 1],
                 band_w=2,
                 tolerance=1e-4,
-                kernel="wavefront",
             )
             assert np.array_equal(batched.loglik[b], solo.loglik[0])
             assert np.array_equal(batched.z[b], solo.z[0])
 
-    def test_kernel_families_agree_on_escapes(self):
-        """Wavefront and rowsweep dispatch see the same escape decisions on
-        the indel fixture (the escape test is posterior-level, not
-        kernel-level)."""
+    def test_shifted_indel_escapes_once(self):
+        """A second indel fixture (seed 7) sees exactly one escape."""
         pwms, windows, pad = indel_case(shift=6, seed=7)
         centers = np.array([pad], dtype=np.int64)
-        for kernel in ("wavefront", "rowsweep"):
-            with scope() as reg:
-                align_batch_banded(
-                    pwms, windows, PARAMS, centers, band_w=2,
-                    tolerance=1e-4, kernel=kernel,
-                )
-                assert reg.snapshot().counters.get("phmm.band_escapes", 0) == 1
+        with scope() as reg:
+            align_batch_banded(
+                pwms, windows, PARAMS, centers, band_w=2, tolerance=1e-4
+            )
+            assert reg.snapshot().counters.get("phmm.band_escapes", 0) == 1
 
 
 class TestEmptyBucket:
     """A bucket whose band misses the matrix entirely must neither crash
-    nor run the kernels (the latent zero-width wavefront allocation)."""
+    nor run the kernels."""
 
     def _off_matrix_center(self, n, m, band_w):
         # row i's band is [i + c - w, i + c + w]; c > m + w - 1 pushes every
@@ -393,7 +611,6 @@ class TestEmptyBucket:
                 np.full(2, c, dtype=np.int64),
                 band_w=3,
                 adaptive=False,
-                kernel="wavefront",
             )
             counters = reg.snapshot().counters
         assert np.all(np.isneginf(out.loglik))

@@ -5,7 +5,8 @@ module pins the *batched* kernels (the pipeline's actual hot path) against
 :mod:`repro.phmm.reference_impl` cell-for-cell: every pair in a B > 1 batch
 must reproduce the naive unscaled forward/backward matrices after undoing
 the per-row scaling (``f * exp(log_scale)``), in both boundary modes,
-including the degenerate shapes N = 1, M = 1 and the empty batch B = 0.
+including the degenerate shapes N = 1, M = 1, N > M, all-``N`` windows and
+the empty batch B = 0.
 The metrics counters are asserted alongside, tying the observability layer
 to the same B*N*M geometry the numerics are verified over.
 """
@@ -70,6 +71,44 @@ def params_strategy(draw):
 def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """Undo per-row scaling: true value is ``scaled[b,i,j] e^{ls[b,i]}``."""
     return scaled * np.exp(log_scale)[:, :, None]
+
+
+def random_pwms(rng, b: int, n: int, max_err: float) -> np.ndarray:
+    return np.stack(
+        [
+            pwm_from_codes(
+                rng.integers(0, 4, n).astype(np.uint8),
+                rng.uniform(0.0, max_err, n),
+            )
+            for _ in range(b)
+        ]
+    )
+
+
+def length_one_read():
+    """N = 1: every read is a single base, one per nucleotide."""
+    rng = np.random.default_rng(3)
+    pwms = np.stack(
+        [
+            pwm_from_codes(np.array([c], dtype=np.uint8), np.array([0.05]))
+            for c in range(4)
+        ]
+    )
+    return pwms, rng.integers(0, 5, (4, 6)).astype(np.uint8)
+
+
+def read_longer_than_window():
+    """N > M: the read cannot fit without G_X insertions."""
+    rng = np.random.default_rng(11)
+    pwms = random_pwms(rng, b=3, n=9, max_err=0.3)
+    return pwms, rng.integers(0, 4, (3, 4)).astype(np.uint8)
+
+
+def all_n_window():
+    """Every window column is ``N``: uniform emissions everywhere."""
+    rng = np.random.default_rng(17)
+    pwms = random_pwms(rng, b=2, n=5, max_err=0.5)
+    return pwms, np.full((2, 8), 4, dtype=np.uint8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,9 +225,63 @@ class TestDegenerateShapes:
             *_, like = forward_naive(pstar[b], params, mode=mode)
             assert np.isclose(np.exp(fwd.loglik[b]), like, rtol=1e-9)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "case",
+        [length_one_read, read_longer_than_window, all_n_window],
+        ids=["n1", "n_gt_m", "all_n"],
+    )
+    def test_shape_matches_naive(self, case, mode):
+        """Shapes the hypothesis strategy may never draw, pinned explicitly."""
+        pwms, windows = case()
+        params = PHMMParams()
+        pstar = emissions_batch(pwms, windows, params)
+        fwd = forward_batch(pstar, params, mode=mode)
+        bwd = backward_batch(pstar, params, mode=mode)
+        fM = unscale(fwd.fM, fwd.log_scale)
+        fGX = unscale(fwd.fGX, fwd.log_scale)
+        fGY = unscale(fwd.fGY, fwd.log_scale)
+        bM = unscale(bwd.bM, bwd.log_scale)
+        bGX = unscale(bwd.bGX, bwd.log_scale)
+        bGY = unscale(bwd.bGY, bwd.log_scale)
+        for b in range(pwms.shape[0]):
+            nM, nGX, nGY, like = forward_naive(pstar[b], params, mode=mode)
+            np.testing.assert_allclose(fM[b], nM, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(fGX[b], nGX, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(fGY[b], nGY, rtol=1e-9, atol=1e-300)
+            if like > 0:
+                assert np.isclose(fwd.loglik[b], np.log(like), rtol=1e-9)
+            else:
+                assert fwd.loglik[b] == -np.inf
+            wM, wGX, wGY = backward_naive(pstar[b], params, mode=mode)
+            np.testing.assert_allclose(bM[b], wM, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(bGX[b], wGX, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(bGY[b], wGY, rtol=1e-9, atol=1e-300)
+
     @pytest.mark.parametrize("bad", [(2, 0, 5), (2, 5, 0)])
     def test_zero_length_read_or_window_rejected(self, bad):
         with pytest.raises(AlignmentError):
             forward_batch(np.zeros(bad), PHMMParams())
         with pytest.raises(AlignmentError):
             backward_batch(np.zeros(bad), PHMMParams())
+
+
+class TestCounters:
+    def test_full_fill_counters(self):
+        """A full forward + backward pass charges every cell to cells_full."""
+        params = PHMMParams()
+        rng = np.random.default_rng(1)
+        B, N, M = 3, 4, 6
+        pwms = random_pwms(rng, b=B, n=N, max_err=0.3)
+        windows = rng.integers(0, 5, (B, M)).astype(np.uint8)
+        pstar = emissions_batch(pwms, windows, params)
+        with scope() as reg:
+            forward_batch(pstar, params)
+            backward_batch(pstar, params)
+        counters = reg.snapshot().counters
+        assert counters["phmm.batches"] == 1
+        assert counters["phmm.pairs"] == B
+        assert counters["phmm.forward_cells"] == B * N * M
+        assert counters["phmm.backward_cells"] == B * N * M
+        assert counters["phmm.cells_full"] == 2 * B * N * M
+        assert "phmm.cells_banded" not in counters

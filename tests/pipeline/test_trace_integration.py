@@ -3,8 +3,8 @@
 The load-bearing claim: a fault-injected parallel run's trace contains
 worker-lane events carried home from *spawned* processes (the hard
 transport case — no state inheritance), the recovery instants agree with
-the recovery counters, and the export is valid Chrome trace JSON with at
-least two worker lanes.
+the recovery counters, and the export is valid Chrome trace JSON whose
+worker lanes are exactly the processes that delivered chunks.
 """
 
 import json
@@ -46,6 +46,23 @@ def run_traced(workload, **parallel_kwargs):
         return result, reg.snapshot()
 
 
+def dispatch_pids(snap):
+    """``(chunk, attempt) -> worker pid`` from the parent's dispatch log."""
+    return {
+        (ev[7]["chunk"], ev[7]["attempt"]): ev[7]["worker_pid"]
+        for ev in snap.instants("mp.chunk_dispatch")
+    }
+
+
+def delivering_pids(dispatched):
+    """Pids of the workers whose attempt of each chunk was accepted (the
+    last one dispatched): the only processes whose events come home."""
+    last = {}
+    for chunk, attempt in dispatched:
+        last[chunk] = max(attempt, last.get(chunk, attempt))
+    return {dispatched[(chunk, attempt)] for chunk, attempt in last.items()}
+
+
 class TestFaultInjectedTrace:
     @pytest.fixture(scope="class")
     def crash_run(self, workload):
@@ -55,9 +72,9 @@ class TestFaultInjectedTrace:
         try:
             # chunks = workers * chunks_per_worker = 4; chunk 3 crashes on
             # attempt 0 only, so one death + one retry, deterministically.
-            # Crashing the *last* chunk (not chunk 0) guarantees both
-            # original workers complete at least one chunk first, so the
-            # trace always carries >=2 worker lanes.
+            # The retry cannot run in the dead process, so the run always
+            # spans >= 2 worker processes, whichever worker the OS lets
+            # pick up which chunk.
             return run_traced(
                 workload,
                 start_method="spawn",
@@ -79,11 +96,18 @@ class TestFaultInjectedTrace:
 
     def test_worker_lanes_present_from_spawned_processes(self, crash_run):
         _, snap = crash_run
+        dispatched = dispatch_pids(snap)
+        dead_pid, retry_pid = dispatched[(3, 0)], dispatched[(3, 1)]
+        assert len({dead_pid, retry_pid}) >= 2, "expected >=2 worker processes"
+        assert os.getpid() not in {dead_pid, retry_pid}
+        # Worker events travel home with accepted chunks: the retry worker
+        # always has a lane, the dead worker only if it delivered a chunk
+        # before crashing (which depends on scheduling).
         worker_pids = {
             ev[3] for ev in snap.events if ev[4] == "worker"
         }
-        assert len(worker_pids) >= 2, "expected >=2 worker lanes"
-        assert os.getpid() not in worker_pids
+        assert worker_pids == delivering_pids(dispatched)
+        assert retry_pid in worker_pids
         # Worker-side chunk instants made the pickle round trip home.
         begins = snap.instants("mp.chunk_begin")
         assert {ev[7]["chunk"] for ev in begins} >= {0, 1, 2, 3}
@@ -97,12 +121,17 @@ class TestFaultInjectedTrace:
     def test_chrome_export_loads_with_worker_lanes(self, crash_run):
         _, snap = crash_run
         doc = json.loads(json.dumps(to_chrome_trace(snap)))
-        worker_lanes = [
-            ev for ev in doc["traceEvents"]
+        worker_lanes = {
+            ev["pid"] for ev in doc["traceEvents"]
             if ev["ph"] == "M" and ev["name"] == "process_name"
             and ev["args"]["name"].startswith("worker")
-        ]
-        assert len(worker_lanes) >= 2
+        }
+        assert worker_lanes == delivering_pids(dispatch_pids(snap))
+        dispatched_to = {
+            ev["args"]["worker_pid"] for ev in doc["traceEvents"]
+            if ev["name"] == "mp.chunk_dispatch"
+        }
+        assert len(dispatched_to) >= 2
         names = {ev["name"] for ev in doc["traceEvents"]}
         assert {"mp.worker_death", "mp.chunk_retry", "map_reads"} <= names
 

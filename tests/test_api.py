@@ -85,12 +85,8 @@ class TestEngine:
     def test_bad_workers_rejected(self, workload):
         with pytest.raises(PipelineError):
             Engine(workload.reference, workers=0)
-        # An explicit per-call workers=0 warns (deprecated kwarg) and then
-        # fails validation, same as always.
-        with pytest.warns(DeprecationWarning), pytest.raises(PipelineError):
-            Engine(workload.reference).run(workload.reads, workers=0)
-        with pytest.warns(DeprecationWarning), pytest.raises(PipelineError):
-            Engine(workload.reference).map_reads(workload.reads, workers=0)
+        with pytest.raises(PipelineError):
+            Engine(workload.reference, PipelineConfig(), workers=-1)
 
     def test_workers_from_config(self, workload):
         engine = Engine(
@@ -192,14 +188,6 @@ class TestEngineLifecycle:
             assert engine._pool is not None and engine._pool.n_workers == 3
         with pytest.raises(PipelineError):
             engine.workers = 0
-
-    def test_per_call_workers_kwarg_warns(self, workload):
-        reads = workload.reads[:120]
-        with Engine(workload.reference, fork_config()) as engine:
-            with pytest.warns(DeprecationWarning, match="workers"):
-                result = engine.run(reads, workers=2)
-        serial = Engine(workload.reference).run(reads)
-        assert snp_keys(result.snps) == snp_keys(serial.snps)
 
     def test_close_is_idempotent(self, workload):
         engine = Engine(workload.reference, workers=2)

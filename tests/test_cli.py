@@ -100,19 +100,18 @@ class TestSimulateCallEvaluate:
         with pytest.raises(SystemExit):  # argparse rejects unknown modes
             main(["call", str(ref), str(reads), "--band-mode", "wat"])
 
-    def test_float32_global_alignment_rejected(self, tmp_path, capsys):
+    def test_alignment_mode_flag(self, tmp_path):
         ref = tmp_path / "ref.fa"
         ref.write_text(">a\nACGTACGTACGTACGT\n")
         reads = tmp_path / "r.fq"
         reads.write_text("@r\nACGTACGTACGT\n+\nIIIIIIIIIIII\n")
         rc = main([
             "call", str(ref), str(reads), "-o", str(tmp_path / "o.tsv"),
-            "--phmm-kernel", "wavefront", "--phmm-dtype", "float32",
             "--alignment-mode", "global",
         ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "alignment_mode='semiglobal'" in err
+        assert rc == 0
+        with pytest.raises(SystemExit):  # argparse rejects unknown modes
+            main(["call", str(ref), str(reads), "--alignment-mode", "local"])
 
     def test_experiments_table2(self, capsys):
         rc = main(["experiments", "table2", "--scale", "tiny"])
