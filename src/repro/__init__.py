@@ -36,10 +36,10 @@ from repro.pipeline.gnumap import MappingStats, PipelineResult
 
 __version__ = "2.0.0"
 
-# 2.0 removed the 1.x deprecation shims `repro.GnumapSnp` and
-# `repro.run_multiprocessing`; use `repro.api.Engine` (serial and parallel
-# behind one facade) — `repro.pipeline.gnumap.GnumapSnp` remains importable
-# for internal/advanced use.
+# 2.0 removed the 1.x top-level deprecation shims (`repro.GnumapSnp` and the
+# standalone multiprocessing entry point); use `repro.api.Engine` (serial and
+# parallel behind one facade) — `repro.pipeline.gnumap.GnumapSnp` remains
+# importable for internal/advanced use.
 
 __all__ = [
     "Workload",

@@ -1,9 +1,9 @@
 """The public facade: one entry point for mapping and SNP calling.
 
 Historically the repository grew three overlapping ways to run the pipeline:
-constructing :class:`~repro.pipeline.gnumap.GnumapSnp` directly, calling
-:func:`~repro.pipeline.mp_backend.run_multiprocessing`, and the CLI's private
-wiring.  :class:`Engine` collapses them: it binds a reference genome and a
+constructing :class:`~repro.pipeline.gnumap.GnumapSnp` directly, a separate
+multiprocessing entry point, and the CLI's private wiring.  :class:`Engine`
+collapses them: it binds a reference genome and a
 :class:`~repro.pipeline.config.PipelineConfig` once, exposes the pipeline's
 three verbs, and picks the serial or multiprocessing backend per call.
 
@@ -43,8 +43,10 @@ from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.memory.base import Accumulator
+from repro.observability import scope
+from repro.phmm import sanitize
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp, MappingStats, PipelineResult
+from repro.pipeline.gnumap import GnumapSnp, MappingStats, PipelineResult, fill_timers
 from repro.util.timers import TimerRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -134,7 +136,6 @@ class Engine:
         self._stats = MappingStats()
         self._timers = TimerRegistry()
         self._pool: "PersistentPool | None" = None
-        self._pool_flags: "tuple | None" = None
         self._telemetry: "TelemetryAggregator | None" = None
         self._endpoint: "PrometheusEndpoint | None" = None
         if self.config.telemetry.enabled:
@@ -257,30 +258,18 @@ class Engine:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._pool_flags = None
 
-    def _pool_for(self, n_workers: int) -> "PersistentPool | None":
-        """The warm pool for ``n_workers``, (re)building it as needed.
+    def _pool_for(self, n_workers: int) -> "PersistentPool":
+        """The warm pool for ``n_workers``, (re)building it as needed
+        (see :func:`repro.pipeline.mp_backend.warm_pool`)."""
+        from repro.pipeline.mp_backend import warm_pool
 
-        Returns ``None`` when pooling doesn't apply (serial, or
-        ``config.parallel.persistent`` off — the per-run dispatcher path).
-        Sanitizer/tracing enable-state is captured by workers at spawn, so
-        a flag flip since the pool was built recycles the fleet.
-        """
-        if n_workers <= 1 or not self.config.parallel.persistent:
-            return None
-        import repro.observability.trace as trace_mod
-        from repro.phmm import sanitize
-        from repro.pipeline.mp_backend import make_pool
-
-        flags = (sanitize.enabled(), trace_mod.enabled(), n_workers)
-        if self._pool is not None and (self._pool.closed or self._pool_flags != flags):
-            self._teardown_pool()
-        if self._pool is None:
-            self._pool = make_pool(
-                self._pipeline, n_workers, telemetry=self._ensure_telemetry()
-            )
-            self._pool_flags = flags
+        self._pool = warm_pool(
+            self._pool,
+            self._pipeline,
+            n_workers,
+            telemetry=self._ensure_telemetry(),
+        )
         return self._pool
 
     # -- staged verbs -----------------------------------------------------------
@@ -303,7 +292,7 @@ class Engine:
             from repro.pipeline.mp_backend import map_reads_multiprocessing
 
             part_acc, stats = map_reads_multiprocessing(
-                self._pipeline, reads, n_workers, pool=self._pool_for(n_workers)
+                self._pipeline, reads, self._pool_for(n_workers)
             )
             self._accumulator.merge(part_acc)
         else:
@@ -354,24 +343,39 @@ class Engine:
         def execute() -> PipelineResult:
             if n_workers == 1:
                 return self._pipeline.run(reads)
-            from repro.pipeline.mp_backend import run_multiprocessing
+            from repro.pipeline.mp_backend import map_reads_multiprocessing
 
             # _pool_for is called here — inside any tracing scope — so a
             # freshly-built pool's workers see the final enable-state.
-            return run_multiprocessing(
-                self.reference,
-                reads,
-                self.config,
-                n_workers=n_workers,
-                pool=self._pool_for(n_workers),
-                pipeline=self._pipeline,
+            pool = self._pool_for(n_workers)
+            timers = TimerRegistry()
+            with scope() as reg:
+                merged, stats = map_reads_multiprocessing(
+                    self._pipeline, reads, pool
+                )
+                if sanitize.enabled():
+                    # Validate the cross-worker reduction before calling: a
+                    # partial corrupted in transit (or by a worker) must fail
+                    # here, not as a bogus SNP downstream.
+                    sanitize.check_accumulator(
+                        merged.snapshot(), where="accumulator.merge"
+                    )
+                snps = self._pipeline.call_snps(merged)
+                snap = reg.snapshot()
+                fill_timers(timers, snap)
+                totals = snap.leaf_totals()
+                if "map_parallel" in totals:
+                    seconds, count = totals["map_parallel"]
+                    timers.account("map_parallel", seconds, entries=count)
+            return PipelineResult(
+                snps=snps, accumulator=merged, stats=stats, timers=timers
             )
 
         if trace is None:
             return CallResult.from_pipeline_result(execute())
 
         import repro.observability.trace as trace_mod
-        from repro.observability import scope, write_chrome_trace
+        from repro.observability import write_chrome_trace
         from repro.observability.manifest import run_manifest
 
         was_enabled = trace_mod.enabled()

@@ -41,7 +41,6 @@ output to a clean one.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -165,15 +164,13 @@ class ChunkDispatcher:
     ``worker_fn(payload, chunk_id, attempt)`` and ``initializer`` must be
     module-level (picklable) callables; ``initargs`` is shipped to every
     worker once.  Counters are written to the *current* observability
-    registry under ``{counter_prefix}.``.
+    registry under ``mp.``.
 
-    With ``persistent=True`` the worker fleet outlives :meth:`run`: the
-    first call (or an explicit :meth:`start`) spawns ``n_workers``
-    processes, later calls reuse the already-initialised, idle fleet
-    (``mp.pool_reuse`` counts each reuse) and only dead or retired slots
-    are respawned.  The caller owns the lifetime and must call
-    :meth:`close` when done.  The per-run recovery semantics — timeout,
-    retry, respawn, serial fallback — are identical in both modes.
+    The worker fleet outlives :meth:`run`: the first call (or an explicit
+    :meth:`start`) spawns ``n_workers`` processes, later calls reuse the
+    already-initialised, idle fleet (``mp.pool_reuse`` counts each reuse)
+    and only dead or retired slots are respawned.  The caller owns the
+    lifetime and must call :meth:`close` when done.
     """
 
     def __init__(
@@ -188,8 +185,6 @@ class ChunkDispatcher:
         max_retries: int = 2,
         backoff_base: float = 0.05,
         validate: "Callable[[int, Any], None] | None" = None,
-        counter_prefix: str = "mp",
-        persistent: bool = False,
         telemetry: "TelemetryAggregator | None" = None,
     ) -> None:
         self._ctx = ctx
@@ -201,12 +196,9 @@ class ChunkDispatcher:
         self._max_retries = max_retries
         self._backoff_base = backoff_base
         self._validate = validate
-        self._prefix = counter_prefix
-        self._persistent = persistent
         self._telemetry = telemetry
-        # Persistent-mode fleet state; unused (always empty) otherwise.
+        # The fleet; empty until start() and again after close().
         self._slots: "list[_Slot | None]" = []
-        self._started = False
 
     # -- worker lifecycle -----------------------------------------------------
     def _spawn(self) -> _Slot:
@@ -262,17 +254,15 @@ class ChunkDispatcher:
         slot.proc.join(timeout=2.0)
         ChunkDispatcher._kill(slot)
 
-    # -- persistent-fleet lifecycle -------------------------------------------
+    # -- fleet lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Spawn (or top up) the persistent fleet; idempotent.
+        """Spawn (or top up) the fleet; idempotent.
 
         First call spawns ``n_workers`` slots; later calls only respawn
         slots that were retired (``None``) since the last run — a
         deterministic init failure will retire them again, which is the
         desired loud-degradation behaviour, not a spin.
         """
-        if not self._persistent:
-            raise RuntimeError("start() requires persistent=True")
         if not self._slots:
             self._slots = [self._spawn() for _ in range(self._n_workers)]
             trace.instant("mp.pool_start", workers=self._n_workers)
@@ -280,10 +270,9 @@ class ChunkDispatcher:
             for idx, slot in enumerate(self._slots):
                 if slot is None:
                     self._slots[idx] = self._spawn()
-        self._started = True
 
     def close(self) -> None:
-        """Stop every persistent worker and drop the fleet (idempotent)."""
+        """Stop every worker and drop the fleet (idempotent)."""
         for slot in self._slots:
             if slot is None:
                 continue
@@ -292,7 +281,6 @@ class ChunkDispatcher:
             else:  # pragma: no cover - close with work in flight
                 self._kill(slot)
         self._slots = []
-        self._started = False
 
     # -- the event loop -------------------------------------------------------
     def run(self, payloads: "list[Any]") -> DispatchOutcome:
@@ -302,18 +290,14 @@ class ChunkDispatcher:
         if n_chunks == 0:
             return outcome
         reg = current()
-        if self._persistent:
-            if self._started:
-                # Warm fleet: the whole point of the pool.  Loudly counted
-                # so tests can pin zero-respawn reuse.
-                reg.inc(f"{self._prefix}.pool_reuse")
-                trace.instant("mp.pool_reuse", chunks=n_chunks)
-            self.start()
-            slots: "list[_Slot | None]" = self._slots
-            n_workers = len(slots)
-        else:
-            n_workers = min(self._n_workers, n_chunks)
-            slots = [self._spawn() for _ in range(n_workers)]
+        if self._slots:
+            # Warm fleet: the whole point of the pool.  Loudly counted so
+            # tests can pin zero-respawn reuse.
+            reg.inc("mp.pool_reuse")
+            trace.instant("mp.pool_reuse", chunks=n_chunks)
+        self.start()
+        slots = self._slots
+        n_workers = len(slots)
         # Respawn budget: enough for every possible failure to get a fresh
         # worker, finite so a deterministic init crash can't spin forever.
         respawns_left = n_workers + n_chunks * (self._max_retries + 1)
@@ -338,7 +322,7 @@ class ChunkDispatcher:
                 "partial_reject": "mp.partial_reject",
             }.get(kind)
             if counter is not None:
-                reg.inc(f"{self._prefix}.{counter}")
+                reg.inc(f"mp.{counter}")
             if instant is not None:
                 trace.instant(instant, chunk=cid, attempt=attempt, detail=detail)
             if attempt >= self._max_retries:
@@ -348,11 +332,9 @@ class ChunkDispatcher:
                 delay = self._backoff_base * (2.0**attempt)
                 pending.append((cid, attempt + 1, time.monotonic() + delay))
                 outcome.retries += 1
-                reg.inc(f"{self._prefix}.chunk_retries")
+                reg.inc("mp.chunk_retries")
                 trace.instant("mp.chunk_retry", chunk=cid, attempt=attempt + 1)
-                trace.counter_sample(
-                    f"{self._prefix}.chunk_retries", outcome.retries
-                )
+                trace.counter_sample("mp.chunk_retries", outcome.retries)
 
         def replace(idx: int) -> None:
             nonlocal respawns_left
@@ -473,23 +455,14 @@ class ChunkDispatcher:
                         f"chunk {cid} exceeded {self._timeout}s deadline",
                     )
         finally:
-            if self._persistent:
-                # Keep idle workers warm for the next run; only a slot with
-                # work still in flight (abnormal exit) is killed — start()
-                # respawns it next time, re-attaching instead of re-shipping.
-                for idx, slot in enumerate(self._slots):
-                    if slot is not None and slot.chunk is not None:
-                        # pragma-free: exercised via KeyboardInterrupt tests
-                        self._kill(slot)
-                        self._slots[idx] = None
-            else:
-                for slot in slots:
-                    if slot is None:
-                        continue
-                    if slot.chunk is None:
-                        self._stop(slot)
-                    else:  # pragma: no cover - abnormal exit with work in flight
-                        self._kill(slot)
+            # Keep idle workers warm for the next run; only a slot with work
+            # still in flight (abnormal exit) is killed — start() respawns
+            # it next time, re-attaching instead of re-shipping.
+            for idx, slot in enumerate(slots):
+                if slot is not None and slot.chunk is not None:
+                    # pragma-free: exercised via KeyboardInterrupt tests
+                    self._kill(slot)
+                    slots[idx] = None
         return outcome
 
     def _wait_time(self, live: "list[_Slot]", now: float) -> float:

@@ -117,16 +117,15 @@ class PersistentPool:
         As for :class:`ChunkDispatcher`; the fleet is spawned once and
         reused across :meth:`run` calls.
     initializer, initargs:
-        Worker one-time init.  When ``arrays`` is given, the initializer
-        receives the publication map (``dict[str, SharedArraySpec]``) as
-        its **first** argument, followed by ``initargs``.
+        Worker one-time init.  The initializer receives the publication
+        map (``dict[str, SharedArraySpec]``) as its **first** argument,
+        followed by ``initargs``.
     arrays:
         Read-only arrays to publish as shared-memory segments (genome
-        codes, index CSR arrays, ...).  ``None`` skips publication and the
-        initializer gets exactly ``initargs`` (pickle fallback path).
+        codes, index CSR arrays, ...).
     timeout, max_retries, backoff_base, validate:
         Per-chunk fault-tolerance knobs, forwarded to the dispatcher.
-    chunks_per_worker, autotune, model:
+    chunks_per_worker, autotune:
         Chunk-planning knobs for :meth:`plan_chunks`.
     telemetry:
         Optional :class:`~repro.observability.livestream.TelemetryAggregator`;
@@ -143,14 +142,13 @@ class PersistentPool:
         *,
         initializer: "Callable[..., None] | None" = None,
         initargs: "tuple[Any, ...]" = (),
-        arrays: "dict[str, np.ndarray] | None" = None,
+        arrays: "dict[str, np.ndarray]",
         timeout: float = 120.0,
         max_retries: int = 2,
         backoff_base: float = 0.05,
         validate: "Callable[[int, Any], None] | None" = None,
         chunks_per_worker: int = 4,
         autotune: bool = True,
-        model: "LogGPModel | None" = None,
         telemetry: "TelemetryAggregator | None" = None,
     ) -> None:
         if n_workers < 1:
@@ -158,33 +156,30 @@ class PersistentPool:
         self.n_workers = n_workers
         self._chunks_per_worker = chunks_per_worker
         self._autotune = autotune
-        self._model = model or _PIPE_MODEL
         self._chunk_timeout = timeout
         self._per_item_seconds: "float | None" = None
         self._per_item_nbytes = 0.0
         self._runs = 0
+        #: Process-wide switches the workers captured at spawn, recorded by
+        #: the builder so an owner can tell a stale fleet.
+        self.spawn_flags: "tuple[bool, ...]" = ()
         self._bundle = SharedArrayBundle()
-        if arrays is not None:
-            for key, arr in arrays.items():
-                self._bundle.publish(key, arr)
-            current().gauge_max("mp.shm_bytes", self._bundle.nbytes)
-            trace.instant(
-                "mp.shm_publish",
-                segments=len(arrays),
-                nbytes=self._bundle.nbytes,
-            )
-            initargs = (self._bundle.specs,) + tuple(initargs)
+        for key, arr in arrays.items():
+            self._bundle.publish(key, arr)
+        current().gauge_max("mp.shm_bytes", self._bundle.nbytes)
+        trace.instant(
+            "mp.shm_publish", segments=len(arrays), nbytes=self._bundle.nbytes
+        )
         self._dispatcher = ChunkDispatcher(
             ctx,
             n_workers,
             worker_fn,
             initializer=initializer,
-            initargs=initargs,
+            initargs=(self._bundle.specs,) + tuple(initargs),
             timeout=timeout,
             max_retries=max_retries,
             backoff_base=backoff_base,
             validate=validate,
-            persistent=True,
             telemetry=telemetry,
         )
         self._closed = False
@@ -204,7 +199,6 @@ class PersistentPool:
             per_item_seconds=self._per_item_seconds,
             per_item_nbytes=self._per_item_nbytes,
             chunk_timeout=self._chunk_timeout,
-            model=self._model,
         )
 
     def note_chunk_time(
@@ -242,7 +236,7 @@ class PersistentPool:
 
     @property
     def shm_bytes(self) -> int:
-        """Bytes published to shared memory (0 on the pickle fallback path)."""
+        """Bytes published to shared memory."""
         return self._bundle.nbytes
 
     @property

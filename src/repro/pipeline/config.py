@@ -24,7 +24,7 @@ MP_START_METHODS = ("spawn", "fork", "forkserver")
 
 @dataclass
 class ParallelConfig:
-    """Parallel-execution knobs: fleet shape, fault tolerance, pool mode.
+    """Parallel-execution knobs: fleet shape, fault tolerance, chunk planning.
 
     Attributes
     ----------
@@ -57,18 +57,6 @@ class ParallelConfig:
         :mod:`repro.parallel.faults` for the grammar).  Empty (default)
         defers to the ``REPRO_FAULTS`` environment variable; both empty
         means no injection.
-    persistent:
-        Keep the worker fleet alive across ``Engine`` calls
-        (:class:`repro.parallel.pool.PersistentPool`) instead of spawning
-        per run.  Spawn/init costs then amortise to zero over an Engine's
-        lifetime; ``Engine.close()`` (or the context manager) tears the
-        fleet down.
-    shared_memory:
-        Publish genome codes and index CSR arrays as
-        ``multiprocessing.shared_memory`` segments that workers map
-        zero-copy, instead of pickling the genome to every worker and
-        re-building the index per process.  Only meaningful with
-        ``persistent=True``.
     autotune_chunks:
         Let the pool plan chunk counts from the LogGP cost model plus the
         live ``mp.chunk_map_seconds`` history instead of always using the
@@ -83,8 +71,6 @@ class ParallelConfig:
     backoff_base: float = 0.05
     chunks_per_worker: int = 4
     fault_spec: str = ""
-    persistent: bool = True
-    shared_memory: bool = True
     autotune_chunks: bool = True
 
     def __post_init__(self) -> None:
@@ -222,8 +208,7 @@ class PipelineConfig:
         before the pair is re-run full-width.
     parallel:
         Parallel-execution sub-config (:class:`ParallelConfig`): fleet
-        shape, per-chunk fault tolerance, persistent-pool and
-        shared-memory modes.
+        shape, per-chunk fault tolerance and chunk planning.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
         worker metric streaming, stall watchdog and the Prometheus

@@ -94,14 +94,12 @@ class OnlineGnumap:
         self._history: list[int] = []
         self._pool: "PersistentPool | None" = None
 
-    def _get_pool(self) -> "PersistentPool | None":
-        """Lazily build (and then reuse) the stream's persistent pool."""
-        if not self.pipeline.config.parallel.persistent:
-            return None
-        if self._pool is None or self._pool.closed:
-            from repro.pipeline.mp_backend import make_pool
+    def _get_pool(self) -> "PersistentPool":
+        """The stream's warm pool, (re)built as needed (see
+        :func:`repro.pipeline.mp_backend.warm_pool`)."""
+        from repro.pipeline.mp_backend import warm_pool
 
-            self._pool = make_pool(self.pipeline, self.workers)
+        self._pool = warm_pool(self._pool, self.pipeline, self.workers)
         return self._pool
 
     def close(self) -> None:
@@ -133,7 +131,7 @@ class OnlineGnumap:
             from repro.pipeline.mp_backend import map_reads_multiprocessing
 
             part_acc, chunk_stats = map_reads_multiprocessing(
-                self.pipeline, reads, self.workers, pool=self._get_pool()
+                self.pipeline, reads, self._get_pool()
             )
             self.accumulator.merge(part_acc)
         else:

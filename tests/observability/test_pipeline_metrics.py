@@ -17,12 +17,12 @@ import time
 
 import pytest
 
+from repro.api import Engine
 from repro.cli import main
 from repro.experiments.workload import build_workload
 from repro.observability import MetricsRegistry, scope, use
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
-from repro.pipeline.mp_backend import run_multiprocessing
 
 #: Counters that must not depend on how the work is partitioned.
 #: (pipeline.batches and phmm.batches legitimately differ with chunking.)
@@ -107,13 +107,11 @@ class TestSerialVsMultiprocessing:
         self, workload, reads
     ):
         with scope() as serial_reg:
-            serial = run_multiprocessing(
-                workload.reference, reads, PipelineConfig(), n_workers=1
-            )
+            with Engine(workload.reference, PipelineConfig(), workers=1) as e:
+                serial = e.run(reads)
         with scope() as mp_reg:
-            parallel = run_multiprocessing(
-                workload.reference, reads, PipelineConfig(), n_workers=3
-            )
+            with Engine(workload.reference, PipelineConfig(), workers=3) as e:
+                parallel = e.run(reads)
         s, p = serial_reg.snapshot(), mp_reg.snapshot()
         for name in INVARIANT_COUNTERS:
             assert s.counters[name] == p.counters[name], name
@@ -174,8 +172,9 @@ class TestCliMetricsJson:
         # Gauges agree except the mp-only worker-count and pool gauges.
         assert doc4["gauges"].pop("mp.workers") == 4
         assert doc4["gauges"].pop("mp.workers_effective") == 4
-        # The CLI's parallel path runs over the persistent shared-memory
-        # pool: the published genome+index bytes are reported.
+        # The CLI's parallel path runs over the shared-memory pool (the
+        # only multi-process path): the published genome+index bytes are
+        # reported.
         assert doc4["gauges"].pop("mp.shm_bytes") > 0
         assert doc1["gauges"] == doc4["gauges"]
         # Times are consistent, not identical: both runs report a positive

@@ -3,8 +3,8 @@
 Three layers: :func:`plan_chunks` (pure planning math), the
 :class:`PersistentPool` lifecycle (segment ownership, reuse, crash
 recovery, leak-free teardown — including a parent killed by
-KeyboardInterrupt), and byte-identity of the pool execution path against
-the per-run dispatcher for the same chunking.
+KeyboardInterrupt), and byte-identity of pool runs that share a chunking
+(warm reuse, a crashed-and-respawned worker, the long-seed index).
 
 Pool tests pin the fork start method to keep spawns cheap; the dispatch
 semantics are start-method-agnostic (tests/pipeline/test_mp_backend.py).
@@ -96,12 +96,8 @@ class TestPoolLifecycle:
                 live = segments_on_disk(pool.segment_names)
                 assert set(live) == set(pool.segment_names)
 
-                first, _ = map_reads_multiprocessing(
-                    pipe, workload.reads, 2, pool=pool
-                )
-                second, _ = map_reads_multiprocessing(
-                    pipe, workload.reads, 2, pool=pool
-                )
+                first, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
+                second, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
             finally:
                 pool.close()
             snap = reg.snapshot()
@@ -156,11 +152,11 @@ class TestPoolFaultRecovery:
         faulted_pool = make_pool(faulted_pipe, 2)
         try:
             clean, _ = map_reads_multiprocessing(
-                clean_pipe, workload.reads, 2, pool=clean_pool
+                clean_pipe, workload.reads, clean_pool
             )
             with scope() as reg:
                 faulted, _ = map_reads_multiprocessing(
-                    faulted_pipe, workload.reads, 2, pool=faulted_pool
+                    faulted_pipe, workload.reads, faulted_pool
                 )
             snap = reg.snapshot()
             assert snap.counter("mp.worker_deaths") == 1
@@ -178,29 +174,6 @@ class TestPoolFaultRecovery:
             clean_pool.close()
             faulted_pool.close()
         assert segments_on_disk(faulted_pool.segment_names) == []
-
-
-class TestPickleFallback:
-    def test_shared_memory_off_matches_shm_path(self, workload):
-        shm_pipe = GnumapSnp(workload.reference, pool_config())
-        pkl_pipe = GnumapSnp(
-            workload.reference, pool_config(shared_memory=False)
-        )
-        shm_pool = make_pool(shm_pipe, 2)
-        pkl_pool = make_pool(pkl_pipe, 2)
-        try:
-            assert pkl_pool.shm_bytes == 0
-            assert pkl_pool.segment_names == []
-            a, _ = map_reads_multiprocessing(
-                shm_pipe, workload.reads, 2, pool=shm_pool
-            )
-            b, _ = map_reads_multiprocessing(
-                pkl_pipe, workload.reads, 2, pool=pkl_pool
-            )
-            assert np.array_equal(a.snapshot(), b.snapshot())
-        finally:
-            shm_pool.close()
-            pkl_pool.close()
 
 
 class TestCrashNet:
@@ -267,9 +240,7 @@ class TestLongSeedPublication:
                 "index_long_offsets",
                 "index_long_positions",
             } <= published
-            parallel, _ = map_reads_multiprocessing(
-                pipe, workload.reads, 2, pool=pool
-            )
+            parallel, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
         finally:
             pool.close()
         # Workers rebuilt the same long-seed index from shared views;

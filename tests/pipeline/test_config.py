@@ -85,10 +85,7 @@ class TestParallelConfig:
         assert par.max_retries == 2
         assert par.chunks_per_worker == 4
         assert par.fault_spec == ""
-        # The 2.0 defaults: warm pool over shared-memory segments, chunk
-        # granularity autotuned.
-        assert par.persistent
-        assert par.shared_memory
+        # Chunk granularity is autotuned by default.
         assert par.autotune_chunks
 
     def test_validation(self):

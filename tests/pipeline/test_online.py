@@ -83,14 +83,14 @@ class TestOnlineParallelFeed:
             OnlineGnumap(workload.reference, workers=0)
 
     def test_parallel_feed_matches_serial_stream(self, workload):
-        # fork keeps the per-chunk worker spawns cheap; the dispatcher
-        # itself is start-method-agnostic (tests/pipeline/test_mp_backend).
+        # fork keeps the worker spawns cheap; the dispatcher itself is
+        # start-method-agnostic (tests/pipeline/test_mp_backend).
         config = PipelineConfig(parallel=ParallelConfig(start_method="fork"))
         serial = OnlineGnumap(workload.reference, PipelineConfig())
-        parallel = OnlineGnumap(workload.reference, config, workers=2)
-        for chunk in chunks(workload.reads[:200], 2):
-            serial.feed(chunk)
-            parallel.feed(chunk)
+        with OnlineGnumap(workload.reference, config, workers=2) as parallel:
+            for chunk in chunks(workload.reads[:200], 2):
+                serial.feed(chunk)
+                parallel.feed(chunk)
         assert {(s.pos, s.alt_name) for s in parallel.current_snps()} == {
             (s.pos, s.alt_name) for s in serial.current_snps()
         }
@@ -107,14 +107,11 @@ class TestOnlineParallelFeed:
         config = PipelineConfig(parallel=ParallelConfig(
             start_method="fork", fault_spec="crash:chunk=0"
         ))
-        clean = OnlineGnumap(
-            workload.reference,
-            PipelineConfig(parallel=ParallelConfig(start_method="fork")),
-            workers=2,
-        )
-        faulted = OnlineGnumap(workload.reference, config, workers=2)
-        clean.feed(workload.reads[:120])
-        faulted.feed(workload.reads[:120])
+        clean_config = PipelineConfig(parallel=ParallelConfig(start_method="fork"))
+        with OnlineGnumap(workload.reference, clean_config, workers=2) as clean:
+            clean.feed(workload.reads[:120])
+        with OnlineGnumap(workload.reference, config, workers=2) as faulted:
+            faulted.feed(workload.reads[:120])
         assert np.array_equal(
             faulted.accumulator.snapshot(), clean.accumulator.snapshot()
         )

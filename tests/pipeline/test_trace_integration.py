@@ -14,11 +14,11 @@ import os
 import pytest
 
 import repro.observability.trace as trace
+from repro.api import Engine
 from repro.experiments.workload import build_workload
 from repro.observability import scope, to_chrome_trace
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
-from repro.pipeline.mp_backend import run_multiprocessing
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +39,8 @@ def traced():
 
 def run_traced(workload, **parallel_kwargs):
     config = PipelineConfig(parallel=ParallelConfig(**parallel_kwargs))
-    with scope() as reg:
-        result = run_multiprocessing(
-            workload.reference, workload.reads, config, n_workers=2
-        )
+    with scope() as reg, Engine(workload.reference, config, workers=2) as engine:
+        result = engine.run(workload.reads)
         return result, reg.snapshot()
 
 

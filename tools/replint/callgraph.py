@@ -7,7 +7,7 @@ definition (duck-typed method calls, dynamic dispatch) are simply absent —
 the project passes are deliberately under-approximate, never guessing.
 
 The graph also records *references*: a function passed by name rather than
-called (``ChunkDispatcher(ctx, n, _map_chunk, initializer=_init_worker)``).
+called (``ChunkDispatcher(ctx, n, _map_chunk, initializer=_init_pool_worker)``).
 Those are how multiprocessing entry points are discovered — any function
 handed to a dispatch construct (``dispatch_targets`` config) is a worker
 root, and everything reachable from it runs in a worker process.
